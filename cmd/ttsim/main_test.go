@@ -239,3 +239,31 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Errorf("trace lacks the experiment span (%v) or track metadata (%v)", sawSpan, sawMeta)
 	}
 }
+
+// TestFaultsTraceIdenticalAcrossWorkers pins the event log of an observed
+// faults run byte for byte across worker counts: wax phase transitions
+// are emitted from the fleet's sequential merge step in rack order, so
+// shard scheduling cannot reorder them.
+func TestFaultsTraceIdenticalAcrossWorkers(t *testing.T) {
+	dir := t.TempDir()
+	var traces [][]byte
+	for _, workers := range []string{"1", "8"} {
+		path := filepath.Join(dir, "trace-w"+workers+".jsonl")
+		var stdout, stderr strings.Builder
+		args := []string{"-faults", "peak", "-fleet.workers", workers, "-trace", path}
+		if got := run(context.Background(), args, &stdout, &stderr); got != exitOK {
+			t.Fatalf("workers=%s: run = %d\nstderr: %s", workers, got, stderr.String())
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(b), `"kind":"pcm.melt_start"`) {
+			t.Fatalf("workers=%s: trace carries no wax phase events", workers)
+		}
+		traces = append(traces, b)
+	}
+	if string(traces[0]) != string(traces[1]) {
+		t.Error("-trace output differs between -fleet.workers 1 and 8")
+	}
+}

@@ -128,12 +128,10 @@ func TestRunFleetStudyMixed(t *testing.T) {
 	}
 }
 
-// TestFleetStudyKernelPathsAgree pins that the study layer rides the
-// fleet's compiled kernel without changing a single bit of the results:
-// a default study (no registry → compiled struct-of-arrays path) and an
-// observed study (registry attached → instrumented reference path) must
-// produce identical headline numbers. This is the core-level face of
-// fleet's TestCompiledMatchesSlow.
+// TestFleetStudyKernelPathsAgree pins that observing a study changes no
+// bit of its results: a default study and one with a telemetry registry
+// attached run the same fleet kernel, and must produce identical headline
+// numbers. This is the core-level face of fleet's TestKernelPinnedDigest.
 func TestFleetStudyKernelPathsAgree(t *testing.T) {
 	spec := FleetSpec{
 		Mix: []FleetClass{
@@ -142,18 +140,18 @@ func TestFleetStudyKernelPathsAgree(t *testing.T) {
 		},
 		Policies: []string{"roundrobin", "thermal"},
 	}
-	compiled, err := fleetTestStudy(t).RunFleetStudy(spec)
+	plain, err := fleetTestStudy(t).RunFleetStudy(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed := fleetTestStudy(t)
-	observed.Observe(obs.New())
-	reference, err := observed.RunFleetStudy(spec)
+	study := fleetTestStudy(t)
+	study.Observe(obs.New())
+	observed, err := study.RunFleetStudy(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, cp := range compiled.Policies {
-		rp := reference.Policies[i]
+	for i, cp := range plain.Policies {
+		rp := observed.Policies[i]
 		for _, v := range []struct {
 			field string
 			c, r  float64
@@ -167,7 +165,7 @@ func TestFleetStudyKernelPathsAgree(t *testing.T) {
 			{"ShedServerSeconds", cp.ShedServerSeconds, rp.ShedServerSeconds},
 		} {
 			if math.Float64bits(v.c) != math.Float64bits(v.r) {
-				t.Errorf("policy %s: %s compiled %v != reference %v",
+				t.Errorf("policy %s: %s unobserved %v != observed %v",
 					cp.Policy, v.field, v.c, v.r)
 			}
 		}

@@ -3,8 +3,10 @@ package fleet
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/flightrec"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
@@ -138,4 +140,62 @@ func BenchmarkFleetEpochsRecorded(b *testing.B) {
 			b.ReportMetric(epochs/b.Elapsed().Seconds(), "epochs/s")
 		})
 	}
+}
+
+// BenchmarkFleetEpochsObserved measures what attaching a telemetry
+// registry costs: the 10k-rack BenchmarkFleetEpochs fleet run without and
+// with one. Both runs execute the same kernel; the observed run adds only
+// the wax phase counters and events emitted from the merge step. The
+// acceptance bar is <5%, reported directly as overhead-pct.
+//
+// As in BenchmarkFleetEpochsAutoscale, the two variants are timed paired
+// inside one benchmark body, alternating which runs first, so clock drift
+// between separately-run sub-benchmarks cannot masquerade as overhead.
+func BenchmarkFleetEpochsObserved(b *testing.B) {
+	rom, err := server.DeriveROM(server.OneU(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := testTrace(b)
+	const racks = 10000
+	mk := func(reg *obs.Registry) *Fleet {
+		f, err := New(Config{
+			Classes: []ClassSpec{
+				{Cfg: server.OneU(), Racks: racks * 3 / 4, WithWax: true, ROM: rom},
+				{Cfg: server.OneU(), Racks: racks - racks*3/4},
+			},
+			Policy: ThermalAware{},
+			Obs:    reg,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return f
+	}
+	fOff := mk(nil)
+	fOn := mk(obs.New())
+	run := func(f *Fleet) time.Duration {
+		t0 := time.Now()
+		if _, err := f.Run(tr); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	var offNs, onNs time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			offNs += run(fOff)
+			onNs += run(fOn)
+		} else {
+			onNs += run(fOn)
+			offNs += run(fOff)
+		}
+	}
+	b.StopTimer()
+	epochs := float64(tr.Total.Len()) * float64(b.N)
+	b.ReportMetric(epochs/offNs.Seconds(), "unobserved-epochs/s")
+	b.ReportMetric(epochs/onNs.Seconds(), "observed-epochs/s")
+	b.ReportMetric(100*(onNs.Seconds()-offNs.Seconds())/offNs.Seconds(), "overhead-pct")
 }

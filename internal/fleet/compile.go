@@ -5,11 +5,12 @@ import (
 	"repro/internal/server"
 )
 
-// This file is the fleet's compile pass: the per-rack pointer-chasing run
-// state — one *pcm.State heap object per rack, rackSpec structs pointing
-// at shared Configs and ROMs — is lowered at New into struct-of-arrays
-// form, and the epoch's parallel section runs as a fused per-shard kernel
-// (stepShard) marching contiguous rack ranges over flat float64 slices.
+// This file is the fleet's compile pass: the rack layout — rackSpec
+// structs pointing at shared Configs and ROMs — is lowered at New into
+// struct-of-arrays form, and the epoch's parallel section runs as a fused
+// per-shard kernel (stepShard) marching contiguous rack ranges over flat
+// float64 slices. It is the fleet's only kernel; an attached telemetry
+// registry changes nothing here.
 //
 // What is deduplicated per class, and what stays per rack:
 //
@@ -19,24 +20,19 @@ import (
 //     *server.ROM for the wake-air fit and wax conductance, the shared
 //     *pcm.Enclosure (fill-independent geometry and material constants —
 //     see pcm.FlatExchangeWithAir), the cold-aisle setpoint, and the
-//     initial flat wax scalars every rack of the class starts from.
+//     initial flat wax state every rack of the class starts from.
 //   - Per rack (runState): the four pcm flat-state scalars (enthalpy,
-//     reference temperature, wax mass, shell capacity) as contiguous
-//     slices, alongside the fault multipliers (capLost/flowLoss/haScale/
-//     retention) and ceilings the slow path already kept flat.
+//     reference temperature, wax mass, shell capacity) plus the phase
+//     thresholds and last phase as contiguous slices, alongside the fault
+//     multipliers (capLost/flowLoss/haScale/retention) and ceilings.
 //
-// The kernel mirrors stepRackSlow operation for operation — the pcm
-// exchange arithmetic is literally the same function (pcm/flat.go), the
-// power loop preserves Config.PowerAt's component order, and the wake-air
-// fit is the class ROM itself — so compiled runs are bit-identical to the
-// reference path; TestCompiledMatchesSlow pins this over a faulted,
-// autoscaled run at several worker counts.
-//
-// The compiled kernel is selected whenever no telemetry registry is
-// attached. An attached registry keeps the reference path: per-rack wax
-// phase-transition counters and events require the pcm.State machine, and
-// instrument-name construction is deferred to that path too, so an
-// unobserved run allocates nothing per rack beyond the flat slices.
+// The pcm arithmetic is the same code pcm.State runs (pcm/flat.go) and
+// the power loop preserves Config.PowerAt's component order, so a run
+// reproduces, bit for bit, a fleet of per-rack pcm.States advanced on the
+// ROM's wake air; TestKernelPinnedDigest holds it to a digest captured
+// from that per-rack form over a faulted, autoscaled run. Wax phase
+// transitions are classified in the sequential merge step, not here, so
+// their telemetry is in rack order at any worker count.
 
 // compiledClass holds the constants every rack of one class shares.
 type compiledClass struct {
@@ -51,9 +47,13 @@ type compiledClass struct {
 	// nominal frequency is sum(idle[k] + u*dyn[k]) in component order.
 	compIdle, compDyn []float64
 
-	// Initial flat wax scalars (pcm.State.Flat of a fresh NewWaxState)
-	// and the latent capacity; zero for a class without wax.
+	// Initial flat wax state (pcm.State.Flat of a fresh NewWaxState, its
+	// phase thresholds, phase and unspent latent fraction) and the latent
+	// capacity; zero for a class without wax.
 	initEnthalpy, initRefC, initWaxMass, initShellCap float64
+	initHSol, initHLiq                                float64
+	initPhase                                         pcm.WaxPhase
+	initRemaining                                     float64
 	latentJ                                           float64
 }
 
@@ -94,62 +94,43 @@ func (f *Fleet) compile() error {
 		cl.enc = rk.rom.Enclosure
 		cl.hA = rk.rom.HA
 		cl.latentJ = rk.rom.LatentCapacity()
-		// One reference state per class seeds every rack's flat scalars —
-		// the slow path builds an identical State per rack.
+		// One state per class seeds every rack's flat state.
 		wax, err := rk.rom.NewWaxState()
 		if err != nil {
 			return err
 		}
 		cl.initEnthalpy, cl.initRefC, cl.initWaxMass, cl.initShellCap = wax.Flat()
+		cl.initHSol, cl.initHLiq = pcm.FlatPhaseThresholds(cl.enc, cl.initRefC, cl.initWaxMass, cl.initShellCap)
+		cl.initPhase = pcm.FlatPhase(cl.initHSol, cl.initHLiq, cl.initEnthalpy)
+		_, lf := pcm.FlatSolve(cl.enc, cl.initRefC, cl.initWaxMass, cl.initShellCap, cl.initEnthalpy)
+		cl.initRemaining = waxRemainingFrac(lf, cl.latentJ)
 	}
 	f.comp = c
 	return nil
 }
 
-// compiledRun reports whether a run uses the fused kernel: compiled state
-// exists, no telemetry registry is attached (per-rack wax telemetry needs
-// the pcm.State machine), and no test forced the reference path.
-func (f *Fleet) compiledRun() bool {
-	return f.comp != nil && f.reg == nil && !f.forceSlow
-}
-
-// waxRemainingFrac returns rack r's unspent latent-capacity fraction —
-// remainingFraction over whichever state representation the run carries,
-// with identical arithmetic in both.
-func (f *Fleet) waxRemainingFrac(st *runState, r int) float64 {
-	if st.waxes != nil {
-		return remainingFraction(st.waxes[r], st.latent[r])
-	}
-	if st.latent[r] <= 0 {
+// waxRemainingFrac is a wax rack's unspent latent-capacity fraction given
+// its liquid fraction. The (1-lf)*L/L form reproduces
+// pcm.State.RemainingLatent()/L bit for bit, which the balancer's views
+// depend on. A rack without wax — or with wax fully degraded away — has
+// latentJ zero; guard it so the fraction is 0, not NaN.
+func waxRemainingFrac(liquidFrac, latentJ float64) float64 {
+	if latentJ <= 0 {
 		return 0
 	}
-	cl := &f.comp.classes[f.comp.class[r]]
-	_, lf := pcm.FlatSolve(cl.enc, st.wRefC[r], st.wMass[r], st.wShell[r], st.wEnthalpy[r])
-	return clamp01((1 - lf) * st.latent[r] / st.latent[r])
-}
-
-// waxRemainingAfterStep is waxRemainingFrac for the merge step, where the
-// epoch's liquid fraction has already been solved into buf.liquid: the
-// compiled path reuses it instead of re-running the bisection. The
-// reference path's remainingFraction solves from the same unchanged
-// enthalpy, so the two produce identical bits.
-func (f *Fleet) waxRemainingAfterStep(st *runState, r int) float64 {
-	if st.waxes != nil {
-		return remainingFraction(st.waxes[r], st.latent[r])
-	}
-	if st.latent[r] <= 0 {
-		return 0
-	}
-	return clamp01((1 - st.buf.liquid[r]) * st.latent[r] / st.latent[r])
+	return clamp01((1 - liquidFrac) * latentJ / latentJ)
 }
 
 // stepShard is the fused epoch kernel: it advances the contiguous rack
-// range [lo, hi) by one epoch over the flat arrays. It mirrors
-// stepRackSlow operation for operation — same clamps, same component
-// summation order, same pcm exchange arithmetic — so the two paths are
-// bit-identical. Called only by the worker owning the shard; every slice
+// range [lo, hi) by one epoch over the flat arrays — the per-server
+// physics of the fluid engine (power at the assigned utilization; wax
+// exchanging heat with the ROM's wake air), scaled by the live rack
+// population, with the fault state folded in: a room excursion and
+// reduced airflow raise the wake temperature the wax sees, and lost
+// capacity idles its share of the servers. It returns the exchange
+// sub-steps taken. Called only by the worker owning the shard; every slice
 // element it touches is indexed by r, so shards never share state.
-func (f *Fleet) stepShard(lo, hi int, t, dt float64, st *runState) {
+func (f *Fleet) stepShard(lo, hi int, dt float64, st *runState) (substeps int) {
 	c := f.comp
 	buf := st.buf
 	for r := lo; r < hi; r++ {
@@ -189,8 +170,9 @@ func (f *Fleet) stepShard(lo, hi int, t, dt float64, st *runState) {
 				rise := wake - cl.inletC
 				wake = cl.inletC + st.roomRise + rise/(1-st.flowLoss[r])
 			}
-			q := pcm.FlatExchangeWithAir(cl.enc, st.wRefC[r], st.wMass[r], st.wShell[r],
+			q, n := pcm.FlatExchangeWithAir(cl.enc, st.wRefC[r], st.wMass[r], st.wShell[r],
 				&st.wEnthalpy[r], wake, cl.hA*st.haScale[r], dt)
+			substeps += n
 			coolingPerServer = power - q/dt
 			if q > 0 {
 				buf.absorbed[r] += q * scale
@@ -203,6 +185,7 @@ func (f *Fleet) stepShard(lo, hi int, t, dt float64, st *runState) {
 		buf.powerW[r] = power * scale
 		buf.coolingW[r] = coolingPerServer * scale
 	}
+	return substeps
 }
 
 // waxShardWeight approximates a wax rack's step cost relative to a bare

@@ -28,26 +28,24 @@ func mustSchedule(t testing.TB, scenario string) *faults.Schedule {
 	return s
 }
 
-// TestRemainingFractionZeroLatent pins the divide-by-zero guard: a rack
-// whose latent capacity is zero (no wax, or wax fully degraded away) must
-// report zero remaining fraction, not NaN — and must not dereference a
-// nil state.
+// TestRemainingFractionZeroLatent pins the divide-by-zero guard of the
+// kernel's fraction helper: a rack whose latent capacity is zero (no wax,
+// or wax fully degraded away) must report zero remaining fraction, never
+// NaN, whatever its liquid fraction.
 func TestRemainingFractionZeroLatent(t *testing.T) {
-	if got := remainingFraction(nil, 0); got != 0 {
-		t.Errorf("remainingFraction(nil, 0) = %v, want 0", got)
-	}
-	if got := remainingFraction(nil, -1); got != 0 {
-		t.Errorf("remainingFraction(nil, -1) = %v, want 0", got)
+	for _, latent := range []float64{0, -1} {
+		for _, lf := range []float64{0, 0.5, 1, math.NaN()} {
+			if got := waxRemainingFrac(lf, latent); got != 0 {
+				t.Errorf("waxRemainingFrac(%v, %v) = %v, want 0", lf, latent, got)
+			}
+		}
 	}
 	rom := testROM(t)
 	wax, err := rom.NewWaxState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := remainingFraction(wax, 0); got != 0 || math.IsNaN(got) {
-		t.Errorf("remainingFraction(wax, 0) = %v, want 0", got)
-	}
-	if got := remainingFraction(wax, rom.LatentCapacity()); got <= 0 || got > 1 {
+	if got := waxRemainingFrac(wax.LiquidFraction(), rom.LatentCapacity()); got <= 0 || got > 1 {
 		t.Errorf("fresh wax remaining fraction %v outside (0, 1]", got)
 	}
 }

@@ -1,6 +1,10 @@
 package pcm
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/obs"
+)
 
 // This file is the flat-state form of the enclosure state machine: the
 // same enthalpy physics as State, expressed as free functions over four
@@ -9,7 +13,9 @@ import "math"
 // compiled epoch kernel — keep those scalars in contiguous per-rack
 // slices, share one Enclosure per server class, and call these primitives
 // directly, so a million wax states cost four float64 slices instead of a
-// million heap objects.
+// million heap objects. Phase tracking works the same way: a driver keeps
+// each state's solidus/liquidus enthalpy thresholds and last WaxPhase beside
+// the four scalars, and reports transitions through a PhaseTelemetry.
 //
 // State's own methods delegate to these functions, so the flat path and
 // the pointer path are bit-identical by construction: there is exactly one
@@ -52,13 +58,18 @@ func flatSolve(enc *Enclosure, refC, waxMass, shellCap, enthalpyJ float64) (temp
 	return t, f
 }
 
-// flatExchange advances a flat wax state by dt seconds exposed to air at
-// airC with convective conductance hA (W/K), updating *enthalpyJ in
-// place. It returns the heat absorbed from the air in joules (negative
-// when the wax is releasing heat into the air) and the number of
-// integration sub-steps taken (0 when the exchange was skipped: a
-// non-positive hA or dt, or the supercooling guard).
-func flatExchange(enc *Enclosure, refC, waxMass, shellCap float64, enthalpyJ *float64, airC, hA, dt float64) (absorbedJ float64, steps int) {
+// FlatExchangeWithAir is ExchangeWithAir over a flat wax state: it
+// advances *enthalpyJ by dt seconds of convective exchange with air at
+// airC (conductance hA, W/K) and returns the heat absorbed from the air in
+// joules (negative on release) and the number of integration sub-steps
+// taken (0 when the exchange was skipped: a non-positive hA or dt, or the
+// supercooling guard). State.ExchangeWithAir runs this same function, so a
+// flat driver and a State driver fed identical inputs produce bit-
+// identical trajectories. The enclosure carries only fill-independent
+// geometry and material constants, so racks degraded to a smaller fill
+// may keep sharing their class's enclosure as long as waxMass, shellCap
+// and the latent capacity are tracked per rack.
+func FlatExchangeWithAir(enc *Enclosure, refC, waxMass, shellCap float64, enthalpyJ *float64, airC, hA, dt float64) (absorbedJ float64, steps int) {
 	if hA <= 0 || dt <= 0 {
 		return 0, 0
 	}
@@ -117,18 +128,104 @@ func FlatSolve(enc *Enclosure, refC, waxMass, shellCap, enthalpyJ float64) (temp
 	return flatSolve(enc, refC, waxMass, shellCap, enthalpyJ)
 }
 
-// FlatExchangeWithAir is ExchangeWithAir over a flat wax state: it
-// advances *enthalpyJ by dt seconds of convective exchange with air at
-// airC and returns the heat absorbed from the air (negative on release).
-// The arithmetic is the same code path State.ExchangeWithAir runs, so a
-// flat driver and a State driver fed identical inputs produce bit-
-// identical trajectories. The enclosure carries only fill-independent
-// geometry and material constants, so racks degraded to a smaller fill
-// may keep sharing their class's enclosure as long as waxMass, shellCap
-// and the latent capacity are tracked per rack.
-func FlatExchangeWithAir(enc *Enclosure, refC, waxMass, shellCap float64, enthalpyJ *float64, airC, hA, dt float64) (absorbedJ float64) {
-	absorbedJ, _ = flatExchange(enc, refC, waxMass, shellCap, enthalpyJ, airC, hA, dt)
-	return absorbedJ
+// WaxPhase is the lumped enclosure's melt state as the transition tracker
+// sees it: solid up to the solidus enthalpy, liquid from the liquidus
+// enthalpy on, mixed between.
+type WaxPhase int8
+
+// Wax phases in melting order.
+const (
+	WaxSolid WaxPhase = iota
+	WaxMixed
+	WaxLiquid
+)
+
+// FlatPhaseThresholds returns the enthalpies (J) of a flat wax state in
+// equilibrium at the solidus and at the liquidus: where melting starts and
+// where it completes. They change only when the flat scalars are rebuilt.
+func FlatPhaseThresholds(enc *Enclosure, refC, waxMass, shellCap float64) (hSolJ, hLiqJ float64) {
+	m := &enc.Material
+	return flatEnthalpyAt(enc, refC, waxMass, shellCap, m.SolidusC()),
+		flatEnthalpyAt(enc, refC, waxMass, shellCap, m.LiquidusC())
+}
+
+// FlatPhase classifies an enthalpy against the FlatPhaseThresholds pair.
+func FlatPhase(hSolJ, hLiqJ, enthalpyJ float64) WaxPhase {
+	// Tolerance keeps float dust at the kinks from flapping transitions.
+	tiny := 1e-9 * (math.Abs(hLiqJ) + 1)
+	switch {
+	case enthalpyJ <= hSolJ+tiny:
+		return WaxSolid
+	case enthalpyJ >= hLiqJ-tiny:
+		return WaxLiquid
+	default:
+		return WaxMixed
+	}
+}
+
+// PhaseTelemetry reports wax phase transitions and exchange work to an
+// obs registry: the pcm.melt_started/melt_completed and
+// pcm.freeze_started/freeze_completed counters, the pcm.exchange_substeps
+// counter, and one pcm.melt_start/melt_complete/freeze_start/
+// freeze_complete event per transition. A nil *PhaseTelemetry is a no-op.
+type PhaseTelemetry struct {
+	meltStart, meltDone *obs.Counter
+	frzStart, frzDone   *obs.Counter
+	substeps            *obs.Counter
+	events              *obs.EventLog
+}
+
+// NewPhaseTelemetry binds the phase counters and event log of reg; a nil
+// registry yields nil.
+func NewPhaseTelemetry(reg *obs.Registry) *PhaseTelemetry {
+	if reg == nil {
+		return nil
+	}
+	return &PhaseTelemetry{
+		meltStart: reg.Counter("pcm.melt_started"),
+		meltDone:  reg.Counter("pcm.melt_completed"),
+		frzStart:  reg.Counter("pcm.freeze_started"),
+		frzDone:   reg.Counter("pcm.freeze_completed"),
+		substeps:  reg.Counter("pcm.exchange_substeps"),
+		events:    reg.Events(),
+	}
+}
+
+// AddSubsteps counts n exchange integration sub-steps.
+func (p *PhaseTelemetry) AddSubsteps(n int) {
+	if p != nil {
+		p.substeps.Add(int64(n))
+	}
+}
+
+// Transition records a move from phase prev to phase next at sim time
+// simTimeS for the enclosure named label, whose enthalpy is now enthalpyJ.
+// A jump across the whole melt range counts as both its start and its
+// completion.
+func (p *PhaseTelemetry) Transition(prev, next WaxPhase, simTimeS float64, label string, enthalpyJ float64) {
+	if p == nil || next == prev {
+		return
+	}
+	if next > prev { // melting direction
+		if prev == WaxSolid {
+			p.meltStart.Inc()
+			p.events.Record(simTimeS, "pcm.melt_start", label, enthalpyJ, 0)
+		}
+		if next == WaxLiquid {
+			p.meltDone.Inc()
+			p.events.Record(simTimeS, "pcm.melt_complete", label, enthalpyJ, 0)
+		}
+		return
+	}
+	// Freezing direction.
+	if prev == WaxLiquid {
+		p.frzStart.Inc()
+		p.events.Record(simTimeS, "pcm.freeze_start", label, enthalpyJ, 0)
+	}
+	if next == WaxSolid {
+		p.frzDone.Inc()
+		p.events.Record(simTimeS, "pcm.freeze_complete", label, enthalpyJ, 0)
+	}
 }
 
 // Flat returns the scalar state a struct-of-arrays driver needs to

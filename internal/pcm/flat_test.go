@@ -36,7 +36,7 @@ func TestFlatExchangeMatchesState(t *testing.T) {
 		// excursions past both the solidus and the freeze onset.
 		airC := 35 + 18*math.Sin(float64(i)/40) + 4*math.Sin(float64(i)/7)
 		qState := st.ExchangeWithAir(airC, hA, dt)
-		qFlat := FlatExchangeWithAir(enc, refC, waxMass, shellCap, &h, airC, hA, dt)
+		qFlat, _ := FlatExchangeWithAir(enc, refC, waxMass, shellCap, &h, airC, hA, dt)
 		if math.Float64bits(qState) != math.Float64bits(qFlat) {
 			t.Fatalf("step %d: absorbed heat diverged: state %v flat %v", i, qState, qFlat)
 		}
@@ -70,8 +70,8 @@ func TestFlatExchangeGuards(t *testing.T) {
 		{enc.Material.FreezeOnsetC() + 0.5, 5, 600}, // supercooled: above onset, cooling
 	} {
 		before := h
-		if q := FlatExchangeWithAir(enc, refC, waxMass, shellCap, &h, tc.airC, tc.hA, tc.dt); q != 0 {
-			t.Errorf("airC=%v hA=%v dt=%v: absorbed %v, want 0", tc.airC, tc.hA, tc.dt, q)
+		if q, n := FlatExchangeWithAir(enc, refC, waxMass, shellCap, &h, tc.airC, tc.hA, tc.dt); q != 0 || n != 0 {
+			t.Errorf("airC=%v hA=%v dt=%v: absorbed %v in %d sub-steps, want 0 in 0", tc.airC, tc.hA, tc.dt, q, n)
 		}
 		if h != before {
 			t.Errorf("airC=%v hA=%v dt=%v: enthalpy moved %v -> %v", tc.airC, tc.hA, tc.dt, before, h)

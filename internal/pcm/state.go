@@ -24,28 +24,15 @@ type State struct {
 	// waxMass is cached, kg.
 	waxMass float64
 
-	// Telemetry (see Instrument); zero-valued and skipped entirely until a
+	// Telemetry (see Instrument); nil and skipped entirely until a
 	// registry is attached, so the uninstrumented hot path only pays one
 	// branch.
-	observed   bool
+	tel        *PhaseTelemetry
 	label      string
-	phase      int8
+	phase      WaxPhase
 	hSol, hLiq float64
 	simTimeS   float64
-	meltStart  *obs.Counter
-	meltDone   *obs.Counter
-	frzStart   *obs.Counter
-	frzDone    *obs.Counter
-	substeps   *obs.Counter
-	events     *obs.EventLog
 }
-
-// Phases of the lumped enclosure as seen by the transition tracker.
-const (
-	phaseSolid int8 = iota
-	phaseMixed
-	phaseLiquid
-)
 
 // Instrument attaches a telemetry registry: melt/freeze transition
 // counters, exchange sub-step counts, and phase-transition events tagged
@@ -55,16 +42,10 @@ func (s *State) Instrument(reg *obs.Registry, label string) {
 	if reg == nil {
 		return
 	}
-	s.observed = true
+	s.tel = NewPhaseTelemetry(reg)
 	s.label = label
-	s.meltStart = reg.Counter("pcm.melt_started")
-	s.meltDone = reg.Counter("pcm.melt_completed")
-	s.frzStart = reg.Counter("pcm.freeze_started")
-	s.frzDone = reg.Counter("pcm.freeze_completed")
-	s.substeps = reg.Counter("pcm.exchange_substeps")
-	s.events = reg.Events()
-	s.refreshPhaseThresholds()
-	s.phase = s.phaseOf(s.enthalpyJ)
+	s.hSol, s.hLiq = FlatPhaseThresholds(s.enc, s.refC, s.waxMass, s.shellCapacity)
+	s.phase = FlatPhase(s.hSol, s.hLiq, s.enthalpyJ)
 }
 
 // SetSimTime pins the simulation clock used to stamp telemetry events;
@@ -72,55 +53,11 @@ func (s *State) Instrument(reg *obs.Registry, label string) {
 // each step.
 func (s *State) SetSimTime(t float64) { s.simTimeS = t }
 
-// refreshPhaseThresholds caches the enthalpies at which melting starts and
-// completes, so phase classification is two comparisons.
-func (s *State) refreshPhaseThresholds() {
-	m := &s.enc.Material
-	s.hSol = s.enthalpyAt(m.SolidusC())
-	s.hLiq = s.enthalpyAt(m.LiquidusC())
-}
-
-func (s *State) phaseOf(h float64) int8 {
-	// Tolerance keeps float dust at the kinks from flapping transitions.
-	tiny := 1e-9 * (math.Abs(s.hLiq) + 1)
-	switch {
-	case h <= s.hSol+tiny:
-		return phaseSolid
-	case h >= s.hLiq-tiny:
-		return phaseLiquid
-	default:
-		return phaseMixed
-	}
-}
-
 // notePhase detects melt/freeze transitions after an enthalpy change.
 func (s *State) notePhase() {
-	p := s.phaseOf(s.enthalpyJ)
-	if p == s.phase {
-		return
-	}
-	prev := s.phase
+	p := FlatPhase(s.hSol, s.hLiq, s.enthalpyJ)
+	s.tel.Transition(s.phase, p, s.simTimeS, s.label, s.enthalpyJ)
 	s.phase = p
-	if p > prev { // melting direction
-		if prev == phaseSolid {
-			s.meltStart.Inc()
-			s.events.Record(s.simTimeS, "pcm.melt_start", s.label, s.enthalpyJ, 0)
-		}
-		if p == phaseLiquid {
-			s.meltDone.Inc()
-			s.events.Record(s.simTimeS, "pcm.melt_complete", s.label, s.enthalpyJ, 0)
-		}
-		return
-	}
-	// Freezing direction.
-	if prev == phaseLiquid {
-		s.frzStart.Inc()
-		s.events.Record(s.simTimeS, "pcm.freeze_start", s.label, s.enthalpyJ, 0)
-	}
-	if p == phaseSolid {
-		s.frzDone.Inc()
-		s.events.Record(s.simTimeS, "pcm.freeze_complete", s.label, s.enthalpyJ, 0)
-	}
 }
 
 // NewState initializes the enclosure state in thermal equilibrium at
@@ -194,7 +131,7 @@ func (s *State) AddHeat(j float64) {
 	if s.enthalpyJ < 0 {
 		s.enthalpyJ = 0
 	}
-	if s.observed {
+	if s.tel != nil {
 		s.notePhase()
 	}
 }
@@ -215,13 +152,13 @@ func (s *State) RemainingLatent() float64 {
 // air). The step is sub-divided so the exponential approach to air
 // temperature is integrated stably even for large dt.
 func (s *State) ExchangeWithAir(airC, hA, dt float64) float64 {
-	total, steps := flatExchange(s.enc, s.refC, s.waxMass, s.shellCapacity, &s.enthalpyJ, airC, hA, dt)
-	if s.observed {
+	total, steps := FlatExchangeWithAir(s.enc, s.refC, s.waxMass, s.shellCapacity, &s.enthalpyJ, airC, hA, dt)
+	if s.tel != nil {
 		if hA > 0 && dt > 0 {
 			s.simTimeS += dt
 		}
 		if steps > 0 {
-			s.substeps.Add(int64(steps))
+			s.tel.AddSubsteps(steps)
 			s.notePhase()
 		}
 	}
@@ -235,7 +172,7 @@ func (s *State) Enclosure() *Enclosure { return s.enc }
 // the telemetry phase tracker without counting a transition.
 func (s *State) Reset(tempC float64) {
 	s.enthalpyJ = s.enthalpyAt(tempC)
-	if s.observed {
-		s.phase = s.phaseOf(s.enthalpyJ)
+	if s.tel != nil {
+		s.phase = FlatPhase(s.hSol, s.hLiq, s.enthalpyJ)
 	}
 }

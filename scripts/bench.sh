@@ -7,8 +7,12 @@
 #   BENCH_fleet.json   — the dcsim fluid loop and the sharded fleet epochs
 #                        built on top of it: the compiled-kernel scaling
 #                        matrix (racks=32/1k/10k x workers), the
-#                        million-server two-day witness, and the
-#                        flight-recorder on/off pair
+#                        million-server two-day witness, the
+#                        flight-recorder on/off pair, and the paired
+#                        10k-rack run with and without a telemetry
+#                        registry (BenchmarkFleetEpochsObserved; its
+#                        overhead-pct is what observation costs,
+#                        target < 5%)
 #   BENCH_autoscale.json — the paired control-loop-on/off fleet run; its
 #                        overhead-pct metric is the autoscaler's epoch-loop
 #                        cost with the clock drift cancelled (target < 5%)
