@@ -152,6 +152,34 @@ func TestKernelPinnedDigest(t *testing.T) {
 	}
 }
 
+// TestPinnedScenarioDriftBound bounds how far the pinned scenario's
+// end-to-end totals may move when the pinned digests are re-captured
+// after a change to the last bits of the wax arithmetic: each is held
+// within 1e-8 relative of the value the bisection-based enthalpy solver
+// produced, at workers 1 and 8.
+func TestPinnedScenarioDriftBound(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		run := runPinned(t, workers, nil)
+		peakCooling, _ := run.CoolingLoadW.Peak()
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"AbsorbedJ", run.AbsorbedJ, 268092633.16774353},
+			{"ReleasedJ", run.ReleasedJ, 266372556.82237387},
+			{"ShedServerSeconds", run.ShedServerSeconds, 1027115.4387268021},
+			{"ThrottledServerSeconds", run.ThrottledServerSeconds, 3696000},
+			{"ThrottleOnsetS", run.ThrottleOnsetS, 11099.86449769779},
+			{"peak CoolingLoadW", peakCooling, 145717.79190855753},
+		} {
+			if rel := math.Abs(c.got-c.want) / math.Abs(c.want); !(rel <= 1e-8) {
+				t.Errorf("workers=%d: %s = %.17g, want %.17g within 1e-8 relative (off by %.3g)",
+					workers, c.name, c.got, c.want, rel)
+			}
+		}
+	}
+}
+
 // pinnedEventsDigest is the FNV-1a hash of the pinned scenario's pcm.*
 // events (kind, name, sim time bits, value bits) as the reference path
 // recorded them at workers=1.
