@@ -20,7 +20,10 @@ import (
 // State's own methods delegate to these functions, so the flat path and
 // the pointer path are bit-identical by construction: there is exactly one
 // implementation of the arithmetic, and the equivalence tests in
-// flat_test.go pin the delegation.
+// flat_test.go pin the delegation. Turning enthalpy back into temperature
+// and liquid fraction, which every exchange sub-step does, is closed form
+// (flatSolve); flat_test.go bounds it against a bisection oracle over the
+// forward curve.
 
 // flatEnthalpyAt returns the total enclosure enthalpy (J) in equilibrium
 // at tempC for the given flat state.
@@ -30,32 +33,50 @@ func flatEnthalpyAt(enc *Enclosure, refC, waxMass, shellCap, tempC float64) floa
 }
 
 // flatSolve inverts total enthalpy to (temperature, liquid fraction): it
-// solves waxMass*h(T) + shellCap*(T-ref) = H. The left side is continuous
-// and strictly increasing but kinked at the solidus and liquidus, so a
-// bracketed bisection is used — Newton steps oscillate across the
-// capacity discontinuity at the liquidus.
-func flatSolve(enc *Enclosure, refC, waxMass, shellCap, enthalpyJ float64) (tempC, liquidFrac float64) {
-	m := &enc.Material
-	// Wax-only inversion is exact when the shell is negligible and is a
-	// good starting bracket seed otherwise.
-	t0, f := m.TemperatureFromEnthalpy(enthalpyJ/waxMass, refC)
-	if shellCap <= 0 {
-		return t0, f
+// solves waxMass*h(T) + shellCap*(T-ref) = H in closed form. With w the
+// melt range, the left side is linear in T below the solidus, linear
+// above the liquidus, and across the melt range (T = solidus + f*w) a
+// quadratic in the liquid fraction f: the latent ramp plus the sensible
+// heat of a mushy zone whose specific heat moves linearly from cs to cl.
+// Two threshold compares pick the piece and each piece inverts exactly,
+// so the answer carries only rounding error. As in Material.Enthalpy,
+// the wax term's reference is clamped to the solidus while the shell
+// term uses the unclamped reference; the thresholds (flatThresholds)
+// bake both in. Material.TemperatureFromEnthalpy is the waxMass = 1,
+// shellCap = 0 case.
+func flatSolve(m *Material, refC, waxMass, shellCap, enthalpyJ float64) (tempC, liquidFrac float64) {
+	sol, liq := m.SolidusC(), m.LiquidusC()
+	hSol, hLiq := flatThresholds(m, refC, waxMass, shellCap)
+	switch {
+	case enthalpyJ <= hSol:
+		// Measured from the wax reference, where the wax term is zero, so
+		// H = 0 maps back to the reference exactly.
+		refW := min(refC, sol)
+		return refW + (enthalpyJ-shellCap*(refW-refC))/(waxMass*m.SpecificHeatSolid+shellCap), 0
+	case enthalpyJ >= hLiq:
+		return liq + (enthalpyJ-hLiq)/(waxMass*m.SpecificHeatLiquid+shellCap), 1
 	}
-	// The shell stores heat too, so the true temperature is at most the
-	// wax-only estimate and at least the reference.
-	lo, hi := refC, t0+1e-9
-	for i := 0; i < 60 && hi-lo > 1e-9; i++ {
-		mid := 0.5 * (lo + hi)
-		if flatEnthalpyAt(enc, refC, waxMass, shellCap, mid) < enthalpyJ {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t := 0.5 * (lo + hi)
-	_, f = m.TemperatureFromEnthalpy((enthalpyJ-shellCap*(t-refC))/waxMass, refC)
-	return t, f
+	// H - hSol = a*f^2 + b*f. This root form cannot cancel and stays
+	// finite when a = 0 (cl = cs) or w = 0 (then f is linear in H).
+	w := liq - sol
+	a := waxMass * w * (m.SpecificHeatLiquid - m.SpecificHeatSolid) / 2
+	b := waxMass*(m.HeatOfFusion+w*m.SpecificHeatSolid/2) + shellCap*w
+	d := enthalpyJ - hSol
+	f := min(max(2*d/(b+math.Sqrt(b*b+4*a*d)), 0), 1)
+	return sol + f*w, f
+}
+
+// flatThresholds returns the total enthalpy (J) of a flat state at the
+// solidus and at the liquidus, on the solid and liquid branches of the
+// curve respectively. Away from a sharp melt (MeltRangeK = 0) these are
+// bit-identical to flatEnthalpyAt at the two temperatures; for a sharp
+// melt they are the two ends of the latent step, which the forward
+// curve, a step there, cannot return.
+func flatThresholds(m *Material, refC, waxMass, shellCap float64) (hSolJ, hLiqJ float64) {
+	sol, liq := m.SolidusC(), m.LiquidusC()
+	hSolWax := m.SpecificHeatSolid * (sol - min(refC, sol))
+	return waxMass*hSolWax + shellCap*(sol-refC),
+		waxMass*(hSolWax+m.HeatOfFusion+mushySensible(m, 1)) + shellCap*(liq-refC)
 }
 
 // FlatExchangeWithAir is ExchangeWithAir over a flat wax state: it
@@ -87,7 +108,7 @@ func FlatExchangeWithAir(enc *Enclosure, refC, waxMass, shellCap float64, enthal
 	remaining := dt
 	for remaining > 0 {
 		steps++
-		t, f := flatSolve(enc, refC, waxMass, shellCap, *enthalpyJ)
+		t, f := flatSolve(&enc.Material, refC, waxMass, shellCap, *enthalpyJ)
 		g := hA
 		if airC < t {
 			// Discharge is conduction-limited: solidification grows a
@@ -125,7 +146,7 @@ func FlatExchangeWithAir(enc *Enclosure, refC, waxMass, shellCap float64, enthal
 // a flat wax state: the scalars a State carries, as returned by
 // State.Flat or recorded by a struct-of-arrays driver.
 func FlatSolve(enc *Enclosure, refC, waxMass, shellCap, enthalpyJ float64) (tempC, liquidFrac float64) {
-	return flatSolve(enc, refC, waxMass, shellCap, enthalpyJ)
+	return flatSolve(&enc.Material, refC, waxMass, shellCap, enthalpyJ)
 }
 
 // WaxPhase is the lumped enclosure's melt state as the transition tracker
@@ -142,11 +163,10 @@ const (
 
 // FlatPhaseThresholds returns the enthalpies (J) of a flat wax state in
 // equilibrium at the solidus and at the liquidus: where melting starts and
-// where it completes. They change only when the flat scalars are rebuilt.
+// where it completes, the same thresholds FlatSolve switches on. They
+// change only when the flat scalars are rebuilt.
 func FlatPhaseThresholds(enc *Enclosure, refC, waxMass, shellCap float64) (hSolJ, hLiqJ float64) {
-	m := &enc.Material
-	return flatEnthalpyAt(enc, refC, waxMass, shellCap, m.SolidusC()),
-		flatEnthalpyAt(enc, refC, waxMass, shellCap, m.LiquidusC())
+	return flatThresholds(&enc.Material, refC, waxMass, shellCap)
 }
 
 // FlatPhase classifies an enthalpy against the FlatPhaseThresholds pair.

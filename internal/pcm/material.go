@@ -7,7 +7,6 @@ package pcm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/units"
 )
@@ -163,26 +162,10 @@ func (m *Material) Enthalpy(tempC, refC float64) float64 {
 }
 
 // TemperatureFromEnthalpy inverts Enthalpy: given h (J/kg relative to refC
-// solid), it returns the temperature and liquid fraction.
+// solid), it returns the temperature and liquid fraction. It is the flat
+// inverse (flatSolve) for one kilogram of wax and no shell.
 func (m *Material) TemperatureFromEnthalpy(h, refC float64) (tempC, liquidFrac float64) {
-	sol, liq := m.SolidusC(), m.LiquidusC()
-	if refC > sol {
-		refC = sol
-	}
-	hSol := m.SpecificHeatSolid * (sol - refC)
-	hLiq := hSol + m.HeatOfFusion + mushySensible(m, 1)
-	switch {
-	case h <= hSol:
-		return refC + h/m.SpecificHeatSolid, 0
-	case h >= hLiq:
-		return liq + (h-hLiq)/m.SpecificHeatLiquid, 1
-	default:
-		// Invert the mushy-zone relation numerically-free: it is monotone
-		// and nearly linear; solve the quadratic in frac.
-		target := h - hSol
-		frac := solveMushyFraction(m, target)
-		return sol + frac*(liq-sol), frac
-	}
+	return flatSolve(m, refC, 1, 0, h)
 }
 
 // mushySensible returns the sensible component of enthalpy accumulated in
@@ -190,38 +173,6 @@ func (m *Material) TemperatureFromEnthalpy(h, refC float64) (tempC, liquidFrac f
 func mushySensible(m *Material, frac float64) float64 {
 	width := m.LiquidusC() - m.SolidusC()
 	return frac * width * (m.SpecificHeatSolid + frac*(m.SpecificHeatLiquid-m.SpecificHeatSolid)) / 2
-}
-
-// solveMushyFraction solves frac*HoF + mushySensible(frac) = target for
-// frac in [0, 1]. The left side is monotone increasing; a few Newton steps
-// from the linear estimate converge to machine precision.
-func solveMushyFraction(m *Material, target float64) float64 {
-	frac := target / (m.HeatOfFusion + mushySensible(m, 1))
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	width := m.LiquidusC() - m.SolidusC()
-	for i := 0; i < 8; i++ {
-		f := frac*m.HeatOfFusion + mushySensible(m, frac) - target
-		// d/dfrac of mushySensible = width*(cs + 2*frac*(cl-cs))/2... derive:
-		d := m.HeatOfFusion + width*(m.SpecificHeatSolid+2*frac*(m.SpecificHeatLiquid-m.SpecificHeatSolid))/2
-		next := frac - f/d
-		if next < 0 {
-			next = 0
-		}
-		if next > 1 {
-			next = 1
-		}
-		if math.Abs(next-frac) < 1e-14 {
-			frac = next
-			break
-		}
-		frac = next
-	}
-	return frac
 }
 
 // MassForVolume returns the mass (kg) of solid-phase material filling the

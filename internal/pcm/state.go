@@ -94,11 +94,11 @@ func (s *State) LiquidFraction() float64 {
 	return f
 }
 
-// solve inverts total enthalpy to (temperature, liquid fraction); the
-// bisection lives in flatSolve (flat.go) so struct-of-arrays drivers run
-// the identical arithmetic.
+// solve inverts total enthalpy to (temperature, liquid fraction) with the
+// closed-form flatSolve (flat.go), the same arithmetic struct-of-arrays
+// drivers run through FlatSolve.
 func (s *State) solve() (tempC, liquidFrac float64) {
-	return flatSolve(s.enc, s.refC, s.waxMass, s.shellCapacity, s.enthalpyJ)
+	return flatSolve(&s.enc.Material, s.refC, s.waxMass, s.shellCapacity, s.enthalpyJ)
 }
 
 // apparentHeat returns dh/dT (J/(kg*K)) of the material at tempC: the
