@@ -126,7 +126,7 @@ func runDigest(run *Run) uint64 {
 // pinnedRunDigest is runDigest of the pinned scenario as computed by the
 // per-rack pcm.State reference path the fused kernel replaced; that path
 // and the kernel agreed on it bit for bit at workers 1 and 8.
-const pinnedRunDigest uint64 = 0x28a8d239f9fe7707
+const pinnedRunDigest uint64 = 0x4d872fbbb1ecdf4b
 
 // TestKernelPinnedDigest holds the kernel to the reference path's outputs
 // over a faulted, autoscaled two-day run, at workers 1 and 8, with and
@@ -183,7 +183,7 @@ func TestPinnedScenarioDriftBound(t *testing.T) {
 // pinnedEventsDigest is the FNV-1a hash of the pinned scenario's pcm.*
 // events (kind, name, sim time bits, value bits) as the reference path
 // recorded them at workers=1.
-const pinnedEventsDigest uint64 = 0x87d0fd5a452e3176
+const pinnedEventsDigest uint64 = 0xfad9a332825f1a38
 
 // pcmEvents returns the pcm.* events of a log in record order and their
 // digest.
