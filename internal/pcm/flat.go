@@ -122,7 +122,7 @@ func FlatExchangeWithAir(enc *Enclosure, refC, waxMass, shellCap float64, enthal
 		cap := shellCap + waxMass*apparentHeat(&enc.Material, t)
 		// Sub-step at a quarter of the local time constant, capped.
 		tau := cap / g
-		h := math.Min(remaining, math.Max(tau/4, 1e-3))
+		h := min(remaining, max(tau/4, 1e-3))
 		// Exact relaxation over h for constant capacity:
 		// q = cap * (airC - t) * (1 - exp(-g*h/cap)).
 		q := cap * (airC - t) * (1 - math.Exp(-g*h/cap))
