@@ -327,6 +327,44 @@ func BenchmarkExchangeWithAir(b *testing.B) {
 	}
 }
 
+// flatSolveSink keeps BenchmarkFlatSolve's results live.
+var flatSolveSink float64
+
+// BenchmarkFlatSolve times the enthalpy inverse alone on the
+// BenchmarkExchangeWithAir enclosure, sweeping the stored enthalpy up
+// through the solid, melting and liquid regimes, a third of the samples
+// in each.
+func BenchmarkFlatSolve(b *testing.B) {
+	m, err := CommercialParaffin(50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := NewEnclosure(m, Box{LengthM: 0.25, WidthM: 0.213, HeightM: 0.02}, 4, 0.94)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewState(enc, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, refC, waxMass, shellCap := s.Flat()
+	hSol, hLiq := FlatPhaseThresholds(enc, refC, waxMass, shellCap)
+	edges := [...]float64{0, hSol, hLiq, flatEnthalpyAt(enc, refC, waxMass, shellCap, m.LiquidusC()+10)}
+	hs := make([]float64, 1024) // a power of two, so the loop indexes by mask
+	for i := range hs {
+		x := 3 * float64(i) / float64(len(hs))
+		r := int(x)
+		hs[i] = edges[r] + (x-float64(r))*(edges[r+1]-edges[r])
+	}
+	sum := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, f := FlatSolve(enc, refC, waxMass, shellCap, hs[i&(len(hs)-1)])
+		sum += t + f
+	}
+	flatSolveSink = sum
+}
+
 func TestInstrumentedPhaseTransitions(t *testing.T) {
 	enc := validationEnclosure(t)
 	s, err := NewState(enc, 25)

@@ -16,6 +16,10 @@
 #   BENCH_autoscale.json — the paired control-loop-on/off fleet run; its
 #                        overhead-pct metric is the autoscaler's epoch-loop
 #                        cost with the clock drift cancelled (target < 5%)
+#   BENCH_pcm.json     — the layers under the fleet and fluid runs: the
+#                        closed-form wax enthalpy inverse (FlatSolve), the
+#                        exchange with air built on it, and the server ROM
+#                        derivation (DeriveROM)
 #   BENCH_serve.json   — a ttsimload overload run against a spawned
 #                        ttsimd: client-observed p50/p99 latency and the
 #                        shed rate (shape documented at the bottom)
@@ -24,14 +28,17 @@
 # repetitions — so trend tooling compares like with like instead of
 # whichever repetition happened to land first:
 #
-#   {"name", "ns_per_op", "allocs_per_op", "overhead_pct", "reps"}
+#   {"name", "ns_per_op", "allocs_per_op", "overhead_pct", "reps",
+#    "cpu", "gomaxprocs"}
 #
 # overhead_pct is null for every benchmark that does not report the
-# custom overhead-pct metric.
+# custom overhead-pct metric. cpu is the model go test reports for the
+# package, and gomaxprocs is read from the name's -N suffix (1 without
+# one), so every record names the hardware it ran on.
 #
 # The raw per-repetition records are kept alongside in
-# BENCH_<suite>.raw.json (same shape, one record per repetition) for
-# variance analysis; CI uploads both as artifacts.
+# BENCH_<suite>.raw.json (same shape without reps, one record per
+# repetition) for variance analysis; CI uploads both as artifacts.
 #
 # Usage: scripts/bench.sh
 # Env:   COUNT     repetitions per benchmark (default 5)
@@ -42,6 +49,21 @@ cd "$(dirname "$0")/.."
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-1s}"
 
+# stamp holds the awk helpers both record writers share: stampcpu reads
+# the model off a "cpu: ..." header line (dropping any quote or backslash,
+# so it stays a plain JSON string), and procs reads GOMAXPROCS off a
+# benchmark name's -N suffix, which go test omits at 1.
+stamp='
+  function stampcpu(   c) {
+    c = substr($0, 6)
+    gsub(/["\\]/, "", c)
+    return c
+  }
+  function procs(name) {
+    return match(name, /-[0-9]+$/) ? substr(name, RSTART + 1) + 0 : 1
+  }
+'
+
 bench() {
   local out="$1"
   shift
@@ -49,8 +71,9 @@ bench() {
   local txt
   txt=$(go test -run='^$' -bench=. -benchmem -count="$COUNT" -benchtime="$BENCHTIME" "$@")
   echo "$txt"
-  echo "$txt" | awk '
+  echo "$txt" | awk "$stamp"'
     BEGIN { print "["; sep = "  " }
+    /^cpu: / { cpu = stampcpu() }
     /^Benchmark/ {
       ns = ""; allocs = ""; over = "";
       for (i = 2; i <= NF; i++) {
@@ -61,12 +84,12 @@ bench() {
       if (ns == "") next;
       if (allocs == "") allocs = "null";
       if (over == "") over = "null";
-      printf "%s{\"name\":\"%s\",\"ns_per_op\":%s,\"allocs_per_op\":%s,\"overhead_pct\":%s}", sep, $1, ns, allocs, over;
+      printf "%s{\"name\":\"%s\",\"ns_per_op\":%s,\"allocs_per_op\":%s,\"overhead_pct\":%s,\"cpu\":\"%s\",\"gomaxprocs\":%d}", sep, $1, ns, allocs, over, cpu, procs($1);
       sep = ",\n  ";
     }
     END { print "\n]" }
   ' >"$raw"
-  echo "$txt" | awk '
+  echo "$txt" | awk "$stamp"'
     # median sorts the c values stored under (name,1..c) and returns the
     # middle one (mean of the middle two for even c).
     function median(name, vals, c,   i, j, t, a) {
@@ -77,6 +100,7 @@ bench() {
       if (c % 2) return a[(c + 1) / 2]
       return (a[c / 2] + a[c / 2 + 1]) / 2
     }
+    /^cpu: / { cpu = stampcpu() }
     /^Benchmark/ {
       ns = ""; allocs = ""; over = "";
       for (i = 2; i <= NF; i++) {
@@ -85,7 +109,7 @@ bench() {
         if ($i == "overhead-pct") over = $(i - 1);
       }
       if (ns == "") next;
-      if (!($1 in cnt)) order[++n] = $1
+      if (!($1 in cnt)) { order[++n] = $1; cpuof[$1] = cpu }
       cnt[$1]++
       nsv[$1, cnt[$1]] = ns
       if (allocs != "") { av[$1, cnt[$1]] = allocs; ac[$1]++ }
@@ -99,7 +123,7 @@ bench() {
         m = median(name, nsv, cnt[name])
         a = (ac[name] == cnt[name]) ? median(name, av, cnt[name]) : "null"
         o = (oc[name] == cnt[name]) ? median(name, ov, cnt[name]) : "null"
-        printf "%s{\"name\":\"%s\",\"ns_per_op\":%s,\"allocs_per_op\":%s,\"overhead_pct\":%s,\"reps\":%d}", sep, name, m, a, o, cnt[name]
+        printf "%s{\"name\":\"%s\",\"ns_per_op\":%s,\"allocs_per_op\":%s,\"overhead_pct\":%s,\"reps\":%d,\"cpu\":\"%s\",\"gomaxprocs\":%d}", sep, name, m, a, o, cnt[name], cpuof[name], procs(name)
         sep = ",\n  "
       }
       print "\n]"
@@ -111,6 +135,7 @@ bench() {
 bench BENCH_thermal.json ./internal/thermal/...
 bench BENCH_fleet.json ./internal/dcsim/... ./internal/fleet/...
 bench BENCH_autoscale.json ./internal/autoscale/...
+bench BENCH_pcm.json ./internal/pcm/... ./internal/server/...
 
 # BENCH_serve.json — the serving layer under forced overload. ttsimload
 # spawns an in-process ttsimd with a small pool and a tight per-client
