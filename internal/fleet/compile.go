@@ -29,10 +29,10 @@ import (
 // The pcm arithmetic is the same code pcm.State runs (pcm/flat.go) and
 // the power loop preserves Config.PowerAt's component order, so a run
 // reproduces, bit for bit, a fleet of per-rack pcm.States advanced on the
-// ROM's wake air; TestKernelPinnedDigest holds it to a digest captured
-// from that per-rack form over a faulted, autoscaled run. Wax phase
-// transitions are classified in the sequential merge step, not here, so
-// their telemetry is in rack order at any worker count.
+// ROM's wake air; TestKernelPinnedDigest holds it to a pinned digest
+// over a faulted, autoscaled run. Wax phase transitions are classified in
+// the sequential merge step, not here, so their telemetry is in rack
+// order at any worker count.
 
 // compiledClass holds the constants every rack of one class shares.
 type compiledClass struct {
@@ -189,9 +189,11 @@ func (f *Fleet) stepShard(lo, hi int, dt float64, st *runState) (substeps int) {
 }
 
 // waxShardWeight approximates a wax rack's step cost relative to a bare
-// rack's: the enthalpy bisection dominates, so weighted sharding keeps a
-// mixed fleet's shards balanced where equal rack counts would park the
-// bare-rack workers at the barrier.
+// rack's: a wax rack runs the exchange sub-steps, each with a math.Exp
+// and a closed-form enthalpy solve, on top of the power loop, so weighted
+// sharding keeps a mixed fleet's shards balanced where equal rack counts
+// would park the bare-rack workers at the barrier. On the million-server
+// benchmark at two workers, 8 still runs at or ahead of 4 and 3.
 const waxShardWeight = 8
 
 // shardBounds partitions the racks into `workers` contiguous ranges of

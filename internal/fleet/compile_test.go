@@ -123,14 +123,16 @@ func runDigest(run *Run) uint64 {
 	return h.Sum64()
 }
 
-// pinnedRunDigest is runDigest of the pinned scenario as computed by the
-// per-rack pcm.State reference path the fused kernel replaced; that path
-// and the kernel agreed on it bit for bit at workers 1 and 8.
+// pinnedRunDigest is runDigest of the pinned scenario. It was first
+// captured from the per-rack pcm.State reference path the fused kernel
+// replaced, which agreed with the kernel bit for bit at workers 1 and 8,
+// and re-captured when the wax enthalpy inverse became closed form;
+// TestPinnedScenarioDriftBound bounds how far that moved the run.
 const pinnedRunDigest uint64 = 0x4d872fbbb1ecdf4b
 
-// TestKernelPinnedDigest holds the kernel to the reference path's outputs
-// over a faulted, autoscaled two-day run, at workers 1 and 8, with and
-// without a telemetry registry: observation must not change a bit.
+// TestKernelPinnedDigest holds the kernel to the pinned digest over a
+// faulted, autoscaled two-day run, at workers 1 and 8, with and without a
+// telemetry registry: observation must not change a bit.
 func TestKernelPinnedDigest(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		for _, observed := range []bool{false, true} {
@@ -181,8 +183,9 @@ func TestPinnedScenarioDriftBound(t *testing.T) {
 }
 
 // pinnedEventsDigest is the FNV-1a hash of the pinned scenario's pcm.*
-// events (kind, name, sim time bits, value bits) as the reference path
-// recorded them at workers=1.
+// events (kind, name, sim time bits, value bits) at workers=1, re-captured
+// with pinnedRunDigest; the transitions themselves are the ones the
+// reference path recorded, so only the enthalpy bits moved.
 const pinnedEventsDigest uint64 = 0xfad9a332825f1a38
 
 // pcmEvents returns the pcm.* events of a log in record order and their

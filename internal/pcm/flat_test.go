@@ -132,10 +132,10 @@ func solverEnclosure(t testing.TB, m Material, fill float64) *Enclosure {
 }
 
 // bisectOracle inverts total enthalpy by bisecting the forward curve
-// flatEnthalpyAt down to adjacent floats, the way flatSolve did before
-// the closed form. It shares only flatEnthalpyAt with flatSolve: the
-// phase comes from the forward curve at the solidus and liquidus, and the
-// liquid fraction from the oracle's own temperature.
+// flatEnthalpyAt down to adjacent floats: the reference flatSolve is held
+// to. It shares only flatEnthalpyAt with flatSolve: the phase comes from
+// the forward curve at the solidus and liquidus, and the liquid fraction
+// from the oracle's own temperature.
 func bisectOracle(enc *Enclosure, refC, waxMass, shellCap, h float64) (tempC, liquidFrac float64, phase WaxPhase) {
 	m := &enc.Material
 	sol, liq := m.SolidusC(), m.LiquidusC()
@@ -234,12 +234,12 @@ func TestFlatSolveMatchesOracle(t *testing.T) {
 						if !ref.roundTrip {
 							continue
 						}
-						if err := roundTripErr(enc, refC, waxMass, shellCap, h, tc); err > 1e-11 {
+						rt := roundTripErr(enc, refC, waxMass, shellCap, h, tc)
+						if rt > 1e-11 {
 							t.Fatalf("%s fill=%v ref=%v shell=%v H=%v: round trip off by %.3g relative, want <= 1e-11",
-								m.Name, fill, refC, shellCap, h, err)
-						} else {
-							worstRT = max(worstRT, err)
+								m.Name, fill, refC, shellCap, h, rt)
 						}
+						worstRT = max(worstRT, rt)
 					}
 				}
 			}
