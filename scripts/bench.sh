@@ -71,6 +71,7 @@ bench() {
   local txt
   txt=$(go test -run='^$' -bench=. -benchmem -count="$COUNT" -benchtime="$BENCHTIME" "$@")
   echo "$txt"
+  CPU=$(echo "$txt" | awk "$stamp"'/^cpu: / { c = stampcpu() } END { print c }')
   echo "$txt" | awk "$stamp"'
     BEGIN { print "["; sep = "  " }
     /^cpu: / { cpu = stampcpu() }
@@ -141,11 +142,19 @@ bench BENCH_pcm.json ./internal/pcm/... ./internal/server/...
 # spawns an in-process ttsimd with a small pool and a tight per-client
 # quota, floods it with mixed cached/uncached/greedy traffic, and records
 # client-observed p50/p99 latency and the shed rate (429s per attempt).
-# One record per run, different shape from the go-bench suites above:
+# One record per run, different shape from the go-bench suites above,
+# stamped here with the CPU model the last go-bench suite reported and
+# the GOMAXPROCS the load run had:
 #
-#   {"duration_s", "attempts", "completed", "hits", "runs", "shed",
-#    "gave_up", "errors", "retries", "shed_rate", "rps", "p50_ms", "p99_ms"}
+#   {"cpu", "gomaxprocs", "duration_s", "attempts", "completed", "hits",
+#    "runs", "shed", "gave_up", "errors", "retries", "shed_rate", "rps",
+#    "p50_ms", "p99_ms"}
 #
 # Env: LOAD_DURATION overload-run length (default 10s; CI uses 30s via
 #      the dedicated smoke step).
 go run ./cmd/ttsimload -duration "${LOAD_DURATION:-10s}" -seed 1 -out BENCH_serve.json
+awk -v cpu="${CPU:-}" -v procs="${GOMAXPROCS:-$(nproc)}" '
+  NR == 1 && $0 == "{" { print; printf "  \"cpu\": \"%s\",\n  \"gomaxprocs\": %d,\n", cpu, procs; next }
+  { print }
+' BENCH_serve.json >BENCH_serve.json.tmp
+mv BENCH_serve.json.tmp BENCH_serve.json
